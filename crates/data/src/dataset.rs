@@ -348,19 +348,9 @@ impl Dataset {
     }
 
     /// The per-(variable, state) sample-bitmap index, built on first use
-    /// and cached (see [`BitmapIndex`] for the memory cost). The
-    /// representation is the process default kind at build time (see
-    /// [`crate::bitmap::default_index_kind`]) — later default flips do
-    /// not rebuild a cached index.
+    /// and cached (see [`BitmapIndex`] for the memory cost).
     pub fn bitmap_index(&self) -> &BitmapIndex {
         self.bitmaps.get_or_init(|| BitmapIndex::build(self))
-    }
-
-    /// The cached bitmap index if one has been built, without forcing a
-    /// build — cost models use this to price word streams off the real
-    /// representation while staying free when the index is cold.
-    pub fn bitmap_index_if_built(&self) -> Option<&BitmapIndex> {
-        self.bitmaps.get()
     }
 
     /// A view of the first `k` samples (cheap truncation used by the

@@ -9,10 +9,9 @@
 //!
 //! Two backends implement the seam:
 //!
-//! * [`ResidentStore`] / [`Dataset`] itself — today's fully-resident
-//!   layout, exposed as one chunk covering all rows. Zero new cost: the
-//!   chunk borrows the dataset's columns and its cached
-//!   [`BitmapIndex`].
+//! * [`Dataset`] itself — the fully-resident layout, exposed as one
+//!   chunk covering all rows. Zero new cost: the chunk borrows the
+//!   dataset's columns and its cached [`BitmapIndex`].
 //! * [`ChunkedStore`] — fixed `FASTBN_CHUNK_ROWS`-row ranges materialized
 //!   on demand from a [`ChunkSource`], held under a configurable
 //!   resident-bytes budget with LRU eviction. Chunks are `Arc`-shared, so
@@ -101,19 +100,6 @@ pub trait DataStore: Send + Sync {
     fn as_resident(&self) -> Option<&Dataset> {
         None
     }
-
-    /// Mean words the bitmap engine streams per state bitmap of `v`,
-    /// summed over all chunks — the word-op unit of the `Auto` engine
-    /// cost model. The default prices the dense representation
-    /// (`Σ_chunks ⌈len/64⌉`); stores that already hold a compressed
-    /// index override this with the real container payload, which is
-    /// what the specialised kernels actually touch.
-    fn bitmap_mean_state_words(&self, v: usize) -> u64 {
-        let _ = v;
-        (0..self.n_chunks())
-            .map(|i| self.chunk_range(i).len().div_ceil(64) as u64)
-            .sum()
-    }
 }
 
 impl std::fmt::Debug for dyn DataStore + '_ {
@@ -176,84 +162,6 @@ impl DataStore for Dataset {
 
     fn as_resident(&self) -> Option<&Dataset> {
         Some(self)
-    }
-
-    fn bitmap_mean_state_words(&self, v: usize) -> u64 {
-        match self.bitmap_index_if_built() {
-            Some(idx) => idx.mean_state_words(v),
-            None => Dataset::n_samples(self).div_ceil(64) as u64,
-        }
-    }
-}
-
-/// Named fully-resident backend: a thin owning wrapper around
-/// [`Dataset`] for call sites that want to talk about stores, not
-/// datasets. Behaves exactly like the dataset itself.
-#[derive(Clone, Debug)]
-pub struct ResidentStore(pub Dataset);
-
-impl ResidentStore {
-    /// The wrapped dataset.
-    pub fn dataset(&self) -> &Dataset {
-        &self.0
-    }
-}
-
-impl From<Dataset> for ResidentStore {
-    fn from(d: Dataset) -> Self {
-        ResidentStore(d)
-    }
-}
-
-impl DataStore for ResidentStore {
-    fn n_vars(&self) -> usize {
-        self.0.n_vars()
-    }
-
-    fn n_samples(&self) -> usize {
-        self.0.n_samples()
-    }
-
-    fn arity(&self, v: usize) -> usize {
-        self.0.arity(v)
-    }
-
-    fn arities(&self) -> &[u8] {
-        self.0.arities()
-    }
-
-    fn names(&self) -> &[String] {
-        self.0.names()
-    }
-
-    fn n_chunks(&self) -> usize {
-        1
-    }
-
-    fn chunk_range(&self, i: usize) -> Range<usize> {
-        assert_eq!(i, 0, "resident store has exactly one chunk");
-        0..self.0.n_samples()
-    }
-
-    fn chunk(&self, i: usize) -> ChunkRef<'_> {
-        assert_eq!(i, 0, "resident store has exactly one chunk");
-        ChunkRef::Resident(&self.0)
-    }
-
-    fn state_frequencies(&self) -> &[Vec<u64>] {
-        self.0.state_frequencies()
-    }
-
-    fn observed_states(&self, v: usize) -> &[usize] {
-        self.0.observed_states(v)
-    }
-
-    fn as_resident(&self) -> Option<&Dataset> {
-        Some(&self.0)
-    }
-
-    fn bitmap_mean_state_words(&self, v: usize) -> u64 {
-        DataStore::bitmap_mean_state_words(&self.0, v)
     }
 }
 

@@ -162,12 +162,17 @@ pub fn decode_dataset(d: &mut Dec) -> Result<Dataset, WireError> {
     if n_vars == 0 || n_vars > 1 << 20 {
         return Err(WireError::OutOfBounds("n_vars"));
     }
+    // Each variable costs at least a name length prefix and an arity byte.
+    d.ensure_fits(n_vars, 5)?;
     let mut names = Vec::with_capacity(n_vars);
     let mut arities = Vec::with_capacity(n_vars);
     for _ in 0..n_vars {
         names.push(d.str()?);
         arities.push(d.u8()?);
     }
+    // One byte per value: a sample count the payload cannot hold is
+    // rejected before it sizes any column.
+    d.ensure_fits(n_samples, n_vars)?;
     let mut columns = Vec::with_capacity(n_vars);
     for _ in 0..n_vars {
         let mut col = Vec::with_capacity(n_samples);
@@ -1510,6 +1515,8 @@ impl MetricsReply {
         if n_counters > 1 << 20 {
             return Err(WireError::OutOfBounds("n_counters"));
         }
+        // Name length prefix + value.
+        d.ensure_fits(n_counters, 12)?;
         let mut counters = Vec::with_capacity(n_counters);
         for _ in 0..n_counters {
             counters.push((d.str()?, d.u64()?));
@@ -1518,6 +1525,7 @@ impl MetricsReply {
         if n_gauges > 1 << 20 {
             return Err(WireError::OutOfBounds("n_gauges"));
         }
+        d.ensure_fits(n_gauges, 12)?;
         let mut gauges = Vec::with_capacity(n_gauges);
         for _ in 0..n_gauges {
             gauges.push((d.str()?, d.u64()? as i64));
@@ -1526,6 +1534,8 @@ impl MetricsReply {
         if n_hists > 1 << 20 {
             return Err(WireError::OutOfBounds("n_histograms"));
         }
+        // Name length prefix, count, sum, bound count and one bucket.
+        d.ensure_fits(n_hists, 32)?;
         let mut histograms = Vec::with_capacity(n_hists);
         for _ in 0..n_hists {
             let name = d.str()?;
@@ -1535,6 +1545,8 @@ impl MetricsReply {
             if n_bounds > 1 << 12 {
                 return Err(WireError::OutOfBounds("n_bounds"));
             }
+            // Each bound plus its bucket, and the overflow bucket.
+            d.ensure_fits(2 * n_bounds + 1, 8)?;
             let mut bounds = Vec::with_capacity(n_bounds);
             for _ in 0..n_bounds {
                 bounds.push(d.u64()?);
@@ -1807,6 +1819,43 @@ mod tests {
         assert_eq!(MetricsReply::from_snapshot(&snap), reply);
         let text = fastbn_obs::render_prometheus(&snap);
         assert!(text.contains("fastbn_parallel_steal_steals 42"));
+    }
+
+    #[test]
+    fn counts_the_payload_cannot_hold_are_rejected_before_allocating() {
+        // A dataset header claiming 2^40 samples over two variables.
+        let mut e = Enc::new();
+        e.u32(2).u64(1 << 40).str("a").u8(2).str("b").u8(2);
+        let bytes = e.into_bytes();
+        assert_eq!(
+            decode_dataset(&mut Dec::new(&bytes)),
+            Err(WireError::Truncated)
+        );
+        // …and one claiming more variables than bytes left to name them.
+        let mut e = Enc::new();
+        e.u32(1 << 20).u64(0);
+        let bytes = e.into_bytes();
+        assert_eq!(
+            decode_dataset(&mut Dec::new(&bytes)),
+            Err(WireError::Truncated)
+        );
+
+        // Metrics sections within their documented caps but not backed
+        // by payload bytes: counters, gauges, histograms, and one
+        // histogram's bounds.
+        let mut claims = vec![Enc::new(), Enc::new(), Enc::new(), Enc::new()];
+        claims[0].u32(1 << 20);
+        claims[1].u32(0).u32(1 << 20);
+        claims[2].u32(0).u32(0).u32(1 << 20);
+        claims[3].u32(0).u32(0).u32(1);
+        claims[3].str("h").u64(0).u64(0).u32(4096).u64(0);
+        for (i, e) in claims.into_iter().enumerate() {
+            assert_eq!(
+                MetricsReply::decode(&e.into_bytes()),
+                Err(WireError::Truncated),
+                "claim {i}"
+            );
+        }
     }
 
     #[test]

@@ -144,6 +144,17 @@ struct Shared {
 }
 
 impl Shared {
+    fn new(cfg: ServeConfig) -> Self {
+        Self {
+            pool: JobPool::new(cfg.runners, cfg.queue_capacity),
+            cache: ServeCache::with_budget(cfg.cache_capacity, cfg.cache_budget_bytes),
+            counters: Counters::default(),
+            start: Instant::now(),
+            shutdown: AtomicBool::new(false),
+            cfg,
+        }
+    }
+
     /// Tally a finished learn's search-stage counters so `Stats` can
     /// report them without re-walking the caches.
     fn note_search_stats(&self, reply: &LearnReply) {
@@ -343,18 +354,10 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let shared = Arc::new(Shared {
-            pool: JobPool::new(cfg.runners, cfg.queue_capacity),
-            cache: ServeCache::with_budget(cfg.cache_capacity, cfg.cache_budget_bytes),
-            counters: Counters::default(),
-            start: Instant::now(),
-            shutdown: AtomicBool::new(false),
-            cfg,
-        });
         Ok(Self {
             listener,
             addr,
-            shared,
+            shared: Arc::new(Shared::new(cfg)),
         })
     }
 
@@ -631,12 +634,31 @@ fn submit_job(
         return;
     }
     let shared_run = shared.clone();
+    let tx_run = tx.clone();
+    let pending_run = pending.clone();
     let wrapped = move |cancel: &CancelToken| {
         // A panicking job must not take its runner thread (or the
-        // daemon) down with it. The job body reports its own failures
-        // over the channel before any panic-prone work; a panic here is
-        // contained and only this job's reply is lost.
-        let _ = catch_unwind(AssertUnwindSafe(|| job(cancel)));
+        // daemon) down with it, nor leave its caller waiting. A job's
+        // final frame is its last act, so a panic means none was sent:
+        // answer `Internal` in its place and drop the pending entry.
+        if let Err(payload) = catch_unwind(AssertUnwindSafe(|| job(cancel))) {
+            let what = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".into());
+            fastbn_obs::counter!("fastbn.serve.jobs.panicked").inc();
+            pending_run
+                .lock()
+                .expect("pending table lock poisoned")
+                .remove(&id);
+            fail(
+                &tx_run,
+                id,
+                ErrorCode::Internal,
+                format!("job panicked: {what}"),
+            );
+        }
         shared_run
             .counters
             .jobs_completed
@@ -923,4 +945,49 @@ fn run_infer(
         kind::INFER_OK,
         InferReply { results }.encode(),
     ));
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn panicked_count() -> u64 {
+        fastbn_obs::global()
+            .snapshot()
+            .counters
+            .iter()
+            .find(|(n, _)| n == "fastbn.serve.jobs.panicked")
+            .map_or(0, |&(_, v)| v)
+    }
+
+    #[test]
+    fn panicking_job_answers_internal_and_clears_its_pending_entry() {
+        let shared = Arc::new(Shared::new(ServeConfig::default().with_runners(1)));
+        let (tx, rx) = channel();
+        let pending: Pending = Arc::new(Mutex::new(HashMap::new()));
+        let before = panicked_count();
+
+        submit_job(&shared, &tx, &pending, 7, |_| panic!("boom"));
+        match rx.recv_timeout(Duration::from_secs(10)) {
+            Ok(ConnEvent::Failure(id, err)) => {
+                assert_eq!(id, 7);
+                assert_eq!(err.code, ErrorCode::Internal);
+                assert!(err.message.contains("boom"), "{}", err.message);
+            }
+            Ok(_) => panic!("expected a failure event"),
+            Err(e) => panic!("no reply for the panicked job: {e}"),
+        }
+        assert!(!pending.lock().unwrap().contains_key(&7));
+        assert!(panicked_count() > before);
+
+        // The runner survived: a well-behaved job still gets through.
+        let tx_ok = tx.clone();
+        submit_job(&shared, &tx, &pending, 8, move |_| {
+            reply(&tx_ok, 8, kind::HEALTH_OK, Vec::new())
+        });
+        match rx.recv_timeout(Duration::from_secs(10)) {
+            Ok(ConnEvent::Reply(id, _, _)) => assert_eq!(id, 8),
+            _ => panic!("expected the follow-up job's reply"),
+        }
+    }
 }

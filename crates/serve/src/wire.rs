@@ -135,6 +135,18 @@ impl<'a> Dec<'a> {
         self.buf.len() - self.pos
     }
 
+    /// Error unless `n` elements of at least `min_elem_bytes` wire bytes
+    /// each fit in what remains. Decoders call this before sizing any
+    /// allocation from a wire count, so a tiny frame claiming a huge
+    /// count is rejected as [`WireError::Truncated`] instead of asking
+    /// the allocator for memory the payload cannot back.
+    pub fn ensure_fits(&self, n: usize, min_elem_bytes: usize) -> Result<(), WireError> {
+        match n.checked_mul(min_elem_bytes) {
+            Some(bytes) if bytes <= self.remaining() => Ok(()),
+            _ => Err(WireError::Truncated),
+        }
+    }
+
     /// Error unless every byte was consumed — catches trailing garbage
     /// that a sloppy (or version-skewed) encoder appended.
     pub fn finish(self) -> Result<(), WireError> {

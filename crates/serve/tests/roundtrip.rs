@@ -324,6 +324,39 @@ fn health_stats_and_error_paths() {
     handle.join().expect("server exits");
 }
 
+/// A ~30-byte `DatasetPut` that claims 2^40 samples is answered with
+/// `Malformed` before the decoder sizes any column from that count, and
+/// the daemon keeps serving.
+#[test]
+fn oversized_dataset_claim_is_malformed_not_fatal() {
+    let (handle, addr) = spawn_server(ServeConfig::default());
+    let mut payload = Vec::new();
+    payload.extend_from_slice(&2u32.to_le_bytes()); // n_vars
+    payload.extend_from_slice(&(1u64 << 40).to_le_bytes()); // n_samples
+    for name in [b"a", b"b"] {
+        payload.extend_from_slice(&1u32.to_le_bytes());
+        payload.extend_from_slice(name);
+        payload.push(2); // arity
+    }
+    let mut raw = TcpStream::connect(addr).expect("raw connect");
+    raw.write_all(&encode_frame(kind::DATASET_PUT, 3, &payload))
+        .expect("send oversized claim");
+    let frame = read_frame(&mut raw).expect("read").expect("open");
+    assert_eq!(frame.kind, kind::ERROR);
+    assert_eq!(frame.request_id, 3);
+    let err = ErrorReply::decode(&frame.payload).expect("decode");
+    assert_eq!(err.code, ErrorCode::Malformed, "got: {}", err.message);
+
+    let mut client = Client::connect(addr).expect("connect");
+    let health = client.health().expect("daemon still answers");
+    assert_eq!(
+        health.protocol_version,
+        fastbn_serve::wire::PROTOCOL_VERSION
+    );
+    client.shutdown().expect("shutdown");
+    handle.join().expect("server exits");
+}
+
 /// Upload-once dataset handles: `DatasetPut` returns the content
 /// fingerprint, by-handle `Learn`/`Fit` produce byte-identical replies
 /// to the inline forms without reshipping the columns, and unknown
