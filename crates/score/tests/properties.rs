@@ -3,7 +3,7 @@
 //! analogue of the constraint learner's cross-impl discipline.
 
 use fastbn_data::Dataset;
-use fastbn_graph::Dag;
+use fastbn_graph::{Dag, UGraph};
 use fastbn_score::{HillClimb, HillClimbConfig, LocalScorer, MoveEval, ScoreCache, ScoreKind};
 use proptest::prelude::*;
 
@@ -134,10 +134,30 @@ proptest! {
     /// The maintained delta table is a pure optimization: incremental and
     /// full re-enumeration learn the identical DAG and bitwise-identical
     /// score at every thread count, with the cache on or off, with tabu
-    /// exploration on or off, and in first-ascent mode.
+    /// exploration on or off, in first-ascent mode, across random restarts
+    /// (each perturbed climb starts a fresh table) and under a hybrid-style
+    /// restriction graph (`learn_restricted` over an undirected skeleton).
     #[test]
-    fn incremental_evaluation_matches_full_oracle(data in dataset_strategy()) {
-        for (tabu, first) in [(false, false), (true, false), (false, true)] {
+    fn incremental_evaluation_matches_full_oracle(
+        data in dataset_strategy(),
+        keep in proptest::collection::vec(any::<bool>(), 10),
+    ) {
+        // A restriction skeleton over the data's variables: pair `i` of
+        // the lexicographic pair list is an allowed adjacency iff `keep[i]`.
+        let n = data.n_vars();
+        let pairs = (0..n).flat_map(|u| (u + 1..n).map(move |v| (u, v)));
+        let edges: Vec<(usize, usize)> =
+            pairs.zip(&keep).filter(|&(_, &k)| k).map(|(p, _)| p).collect();
+        let skeleton = UGraph::from_edges(n, &edges);
+        for (tabu, first, restarts, allowed) in [
+            (false, false, 0, None),
+            (true, false, 0, None),
+            (false, true, 0, None),
+            (false, false, 2, None),
+            (true, false, 2, None),
+            (false, false, 0, Some(&skeleton)),
+            (true, false, 1, Some(&skeleton)),
+        ] {
             let cfg = |eval: MoveEval, t: usize, cache: bool| {
                 HillClimbConfig::default()
                     .with_threads(t)
@@ -145,18 +165,27 @@ proptest! {
                     .with_evaluation(eval)
                     .with_tabu_search(tabu)
                     .with_first_ascent(first)
+                    .with_restarts(restarts)
             };
-            let oracle = HillClimb::new(cfg(MoveEval::Full, 1, true)).learn(&data);
+            let case = format!(
+                "tabu={tabu} first={first} restarts={restarts} restricted={}",
+                allowed.is_some()
+            );
+            let oracle = HillClimb::new(cfg(MoveEval::Full, 1, true))
+                .learn_restricted(&data, allowed);
             prop_assert!(dag_is_valid(&oracle.dag));
             for t in [1usize, 4] {
                 for cache in [true, false] {
-                    let got = HillClimb::new(
-                        cfg(MoveEval::Incremental, t, cache),
-                    ).learn(&data);
-                    prop_assert_eq!(&got.dag, &oracle.dag,
-                        "tabu={} first={} t={} cache={}", tabu, first, t, cache);
+                    let got = HillClimb::new(cfg(MoveEval::Incremental, t, cache))
+                        .learn_restricted(&data, allowed);
+                    prop_assert_eq!(&got.dag, &oracle.dag, "{} t={} cache={}", case, t, cache);
                     prop_assert_eq!(got.score, oracle.score,
-                        "tabu={} first={} t={} cache={} score", tabu, first, t, cache);
+                        "{} t={} cache={} score", case, t, cache);
+                }
+            }
+            if let Some(g) = allowed {
+                for (u, v) in oracle.dag.edges() {
+                    prop_assert!(g.has_edge(u, v), "{}: edge {}→{} outside skeleton", case, u, v);
                 }
             }
         }

@@ -62,8 +62,39 @@ use crate::wire::{encode_frame, Frame, FrameDecoder, PROTOCOL_VERSION};
 const READ_SLICE: Duration = Duration::from_millis(25);
 
 /// How long the accept loop sleeps between polls when no client is
-/// connecting.
+/// connecting, and how long it backs off after a failed `accept()`.
 const ACCEPT_SLICE: Duration = Duration::from_millis(20);
+
+/// How the accept loop reacts to a failed `accept()`.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+enum AcceptFailure {
+    /// No client is connecting: sleep one slice and poll again.
+    Idle,
+    /// A signal interrupted the call: retry at once.
+    Retry,
+    /// A real error — descriptor exhaustion (`EMFILE`, `ENFILE`), an
+    /// aborted handshake, a kernel buffer shortage. None of them breaks
+    /// the listener, so the daemon counts it, backs off one slice and
+    /// keeps serving: closing connections frees the descriptors the next
+    /// `accept()` needs.
+    BackOff,
+}
+
+fn accept_failure(e: &io::Error) -> AcceptFailure {
+    match e.kind() {
+        io::ErrorKind::WouldBlock => AcceptFailure::Idle,
+        io::ErrorKind::Interrupted => AcceptFailure::Retry,
+        _ => AcceptFailure::BackOff,
+    }
+}
+
+/// Reap a finished connection thread. A panic in it is counted rather
+/// than dropped silently with the handle.
+fn join_conn(conn: JoinHandle<()>) {
+    if conn.join().is_err() {
+        fastbn_obs::counter!("fastbn.serve.conn.panicked").inc();
+    }
+}
 
 /// Daemon tuning knobs.
 #[derive(Clone, Copy, Debug)]
@@ -367,7 +398,9 @@ impl Server {
     }
 
     /// Serve until a `Shutdown` frame arrives (or [`ServerHandle::stop`]
-    /// is called on a spawned server). Blocks the calling thread.
+    /// is called on a spawned server). Blocks the calling thread. A failed
+    /// `accept()` never ends the loop (see [`AcceptFailure`]); it is
+    /// counted in `fastbn.serve.accept.errors`.
     pub fn run(self) -> io::Result<()> {
         let mut conns: Vec<JoinHandle<()>> = Vec::new();
         while !self.shared.shutdown.load(Ordering::SeqCst) {
@@ -376,18 +409,23 @@ impl Server {
                     let shared = self.shared.clone();
                     conns.push(thread::spawn(move || handle_conn(stream, shared)));
                 }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => thread::sleep(ACCEPT_SLICE),
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
+                Err(e) => match accept_failure(&e) {
+                    AcceptFailure::Idle => thread::sleep(ACCEPT_SLICE),
+                    AcceptFailure::Retry => {}
+                    AcceptFailure::BackOff => {
+                        fastbn_obs::counter!("fastbn.serve.accept.errors").inc();
+                        thread::sleep(ACCEPT_SLICE);
+                    }
+                },
             }
-            conns.retain(|h| !h.is_finished());
+            conns
+                .extract_if(.., |h| h.is_finished())
+                .for_each(join_conn);
         }
         // Stop accepting, let connection threads notice the flag, flush
         // their in-flight jobs and hang up.
         drop(self.listener);
-        for conn in conns {
-            let _ = conn.join();
-        }
+        conns.into_iter().for_each(join_conn);
         Ok(())
     }
 
@@ -951,13 +989,34 @@ fn run_infer(
 mod tests {
     use super::*;
 
-    fn panicked_count() -> u64 {
+    fn counter(name: &str) -> u64 {
         fastbn_obs::global()
             .snapshot()
             .counters
             .iter()
-            .find(|(n, _)| n == "fastbn.serve.jobs.panicked")
+            .find(|(n, _)| n == name)
             .map_or(0, |&(_, v)| v)
+    }
+
+    #[test]
+    fn descriptor_exhaustion_backs_off_instead_of_stopping_the_daemon() {
+        const EMFILE: i32 = 24;
+        const ENFILE: i32 = 23;
+        for code in [EMFILE, ENFILE] {
+            let e = io::Error::from_raw_os_error(code);
+            assert_eq!(accept_failure(&e), AcceptFailure::BackOff, "{e}");
+        }
+        let idle = io::Error::from(io::ErrorKind::WouldBlock);
+        assert_eq!(accept_failure(&idle), AcceptFailure::Idle);
+        let intr = io::Error::from(io::ErrorKind::Interrupted);
+        assert_eq!(accept_failure(&intr), AcceptFailure::Retry);
+    }
+
+    #[test]
+    fn reaping_a_panicked_connection_thread_counts_it() {
+        let before = counter("fastbn.serve.conn.panicked");
+        join_conn(thread::spawn(|| panic!("connection thread boom")));
+        assert!(counter("fastbn.serve.conn.panicked") > before);
     }
 
     #[test]
@@ -965,7 +1024,7 @@ mod tests {
         let shared = Arc::new(Shared::new(ServeConfig::default().with_runners(1)));
         let (tx, rx) = channel();
         let pending: Pending = Arc::new(Mutex::new(HashMap::new()));
-        let before = panicked_count();
+        let before = counter("fastbn.serve.jobs.panicked");
 
         submit_job(&shared, &tx, &pending, 7, |_| panic!("boom"));
         match rx.recv_timeout(Duration::from_secs(10)) {
@@ -978,7 +1037,7 @@ mod tests {
             Err(e) => panic!("no reply for the panicked job: {e}"),
         }
         assert!(!pending.lock().unwrap().contains_key(&7));
-        assert!(panicked_count() > before);
+        assert!(counter("fastbn.serve.jobs.panicked") > before);
 
         // The runner survived: a well-behaved job still gets through.
         let tx_ok = tx.clone();

@@ -134,6 +134,58 @@ fn incremental_evaluation_matches_full_oracle_on_alarm() {
     }
 }
 
+/// The search's work counters are pinned, not only its result: on alarm-1k
+/// at t=1, greedy, tabu and restart climbs each reproduce the recorded
+/// score bits and the exact number of iterations, computed / carried /
+/// pruned deltas and score-cache hits and misses. A change to how the
+/// delta table is stored must leave every delta carried or recomputed
+/// exactly as before, so these figures may not move.
+#[test]
+fn search_work_counters_are_pinned_on_alarm() {
+    let net = zoo::by_name("alarm", 7).unwrap();
+    let data = net.sample_dataset(1000, 42);
+    let base = HillClimbConfig::default().with_threads(1);
+    // (name, config, score bits, [iterations, moves_evaluated,
+    // moves_carried, moves_pruned, cache_hits, cache_misses]).
+    let pinned = [
+        (
+            "greedy",
+            base.clone(),
+            13893852247957088544u64,
+            [46u64, 3089, 56393, 0, 255, 3001],
+        ),
+        (
+            "tabu",
+            base.clone().with_tabu_search(true),
+            13893845059715559077,
+            [67, 3969, 78089, 0, 631, 3591],
+        ),
+        (
+            "restarts",
+            base.with_restarts(2),
+            13893852247957088544,
+            [62, 5991, 73909, 0, 2820, 3543],
+        ),
+    ];
+    for (name, cfg, bits, counters) in pinned {
+        let got = HillClimb::new(cfg).learn(&data);
+        let s = &got.stats;
+        assert_eq!(got.score.to_bits(), bits, "{name}: score bits");
+        assert_eq!(
+            [
+                s.iterations,
+                s.moves_evaluated,
+                s.moves_carried,
+                s.moves_pruned,
+                s.cache_hits,
+                s.cache_misses
+            ],
+            counters,
+            "{name}: [iterations, evaluated, carried, pruned, hits, misses]"
+        );
+    }
+}
+
 /// Tabu search (bounded non-improving exploration with aspiration) obeys
 /// the same oracle discipline, and never returns a worse DAG than plain
 /// greedy climbing — the result is the best DAG seen.
